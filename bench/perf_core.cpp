@@ -12,6 +12,14 @@
  *     of concurrent flows, each completion starting a replacement, so
  *     every completion pays one progressive-filling rebalance
  *     (flows/s).
+ *   - event_schedule_run: a batch of events posted at scattered
+ *     ticks, then drained (events/s).
+ *   - fluidpipe_arrivals_1024: flows arriving every microsecond on
+ *     one uncapped pipe, so depth ramps up and drains (flows/s).
+ *   - disk_requests: 30 KiB reads submitted at once to one SSD
+ *     (requests/s).
+ *   - stage_tasks: a 2048-task shuffle-read stage on the motivation
+ *     cluster through TaskEngine (tasks/s).
  *   - terasort_e2e: full Terasort on the 3-slave bench cluster, wall
  *     seconds.
  *   - optimizer_grid_jobs{1,N}: the CLI `optimize` search over the
@@ -34,8 +42,12 @@
 #include <vector>
 
 #include "cloud_util.h"
+#include "cluster/cluster.h"
+#include "dfs/hdfs.h"
 #include "sim/fluid_pipe.h"
 #include "sim/simulator.h"
+#include "spark/task_engine.h"
+#include "storage/disk_device.h"
 #include "workloads/terasort.h"
 
 using namespace doppio;
@@ -154,6 +166,109 @@ fluidPipeChurn(int concurrent, std::uint64_t total)
 }
 
 /**
+ * Event scheduling: @p reps rounds of posting @p events events at
+ * scattered ticks into a fresh simulator and draining it — the heap
+ * under a deep, unordered queue rather than a steady chain.
+ */
+Result
+eventScheduleRun(int events, int reps)
+{
+    std::uint64_t fired = 0;
+    const double start = now();
+    for (int r = 0; r < reps; ++r) {
+        sim::Simulator sim;
+        for (int i = 0; i < events; ++i)
+            sim.schedule(static_cast<Tick>((i * 7919) % 100000), [] {});
+        sim.run();
+        fired += sim.firedEvents();
+    }
+    const double elapsed = now() - start;
+    return {"event_schedule_run", "events/s",
+            static_cast<double>(fired) / elapsed, elapsed};
+}
+
+/**
+ * FluidPipe arrivals: @p flows 1 MB uncapped flows arriving one per
+ * microsecond, faster than the pipe drains them, so the depth ramps to
+ * ~@p flows and then empties — no rate caps, unlike the churn cases.
+ */
+Result
+fluidPipeArrivals(int flows, int reps)
+{
+    Bytes completed = 0;
+    const double start = now();
+    for (int r = 0; r < reps; ++r) {
+        sim::Simulator sim;
+        sim::FluidPipe pipe(sim, 1e9, "bench");
+        for (int i = 0; i < flows; ++i) {
+            sim.schedule(static_cast<Tick>(i) * 1000, [&pipe] {
+                pipe.startFlow(1000000, [] {});
+            });
+        }
+        sim.run();
+        completed += pipe.bytesCompleted();
+    }
+    const double elapsed = now() - start;
+    if (completed == 42)
+        std::cout << ""; // defeat dead-code elimination
+    return {"fluidpipe_arrivals_" + std::to_string(flows), "flows/s",
+            static_cast<double>(flows) * reps / elapsed, elapsed};
+}
+
+/** Disk requests: @p requests 30 KiB reads submitted at once. */
+Result
+diskRequests(int requests, int reps)
+{
+    std::uint64_t served = 0;
+    const double start = now();
+    for (int r = 0; r < reps; ++r) {
+        sim::Simulator sim;
+        storage::DiskDevice dev(sim, storage::makeSsdParams(), "bench");
+        for (int i = 0; i < requests; ++i)
+            dev.submit(storage::IoOp::RawRead, kib(30), [] {});
+        sim.run();
+        served += dev.stats().totalRequests(storage::IoKind::Read);
+    }
+    const double elapsed = now() - start;
+    return {"disk_requests", "requests/s",
+            static_cast<double>(served) / elapsed, elapsed};
+}
+
+/**
+ * Stage execution: one shuffle-read stage of @p tasks tasks (27 MiB
+ * each, 30 KiB requests, fan-in 976) on the motivation cluster.
+ */
+Result
+stageTasks(int tasks, int reps)
+{
+    double sim_seconds = 0.0;
+    const double start = now();
+    for (int r = 0; r < reps; ++r) {
+        sim::Simulator sim;
+        cluster::Cluster cluster(
+            sim, cluster::ClusterConfig::motivationCluster());
+        dfs::Hdfs hdfs(cluster);
+        spark::SparkConf conf;
+        spark::TaskEngine engine(cluster, hdfs, conf);
+        spark::StageSpec stage;
+        stage.name = "bench";
+        spark::IoPhaseSpec io;
+        io.op = storage::IoOp::ShuffleRead;
+        io.bytesPerTask = mib(27);
+        io.requestSize = kib(30);
+        io.fanIn = 976;
+        stage.groups.push_back(
+            spark::TaskGroupSpec{"g", tasks, {io}, mib(27)});
+        sim_seconds += engine.runStage(stage).seconds();
+    }
+    const double elapsed = now() - start;
+    if (sim_seconds == 42.0)
+        std::cout << ""; // defeat dead-code elimination
+    return {"stage_tasks", "tasks/s",
+            static_cast<double>(tasks) * reps / elapsed, elapsed};
+}
+
+/**
  * End-to-end Terasort: the paper's 930 GiB sort on the 10-slave
  * evaluation cluster (fig12 setup), repeated so the mean is stable
  * against timer noise. Reports mean wall seconds per run.
@@ -242,6 +357,10 @@ main(int argc, char **argv)
     results.push_back(fluidPipeChurn(10, smoke ? 5'000 : 50'000));
     results.push_back(fluidPipeChurn(100, smoke ? 5'000 : 50'000));
     results.push_back(fluidPipeChurn(5000, smoke ? 6'000 : 15'000));
+    results.push_back(eventScheduleRun(100'000, smoke ? 2 : 20));
+    results.push_back(fluidPipeArrivals(1024, smoke ? 2 : 20));
+    results.push_back(diskRequests(10'000, smoke ? 2 : 20));
+    results.push_back(stageTasks(2048, smoke ? 1 : 5));
     results.push_back(terasortEndToEnd(smoke));
 
     // Fit once; both optimizer legs share the model but not the

@@ -1,6 +1,7 @@
 #include "faults/fault_spec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -187,6 +188,11 @@ parseDouble(const std::string &token, const std::string &source,
     const double value = std::strtod(token.c_str(), &end);
     if (end == token.c_str() || *end != '\0')
         fatal("FaultSpec %s:%d: expected a number, got '%s'",
+              source.c_str(), line, token.c_str());
+    // strtod accepts "nan" and "inf", which every range check below
+    // would let through.
+    if (!std::isfinite(value))
+        fatal("FaultSpec %s:%d: expected a finite number, got '%s'",
               source.c_str(), line, token.c_str());
     return value;
 }

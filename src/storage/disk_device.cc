@@ -1,6 +1,7 @@
 #include "storage/disk_device.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -21,8 +22,9 @@ DiskDevice::DiskDevice(sim::Simulator &simulator, DiskParams params,
 void
 DiskDevice::setDegradedFactor(double factor)
 {
-    if (factor < 1.0)
-        fatal("DiskDevice %s: degraded factor must be >= 1, got %g",
+    if (!(factor >= 1.0) || !std::isfinite(factor))
+        fatal("DiskDevice %s: degraded factor must be finite and >= 1, "
+              "got %g",
               name_.c_str(), factor);
     degrade_ = factor;
 }

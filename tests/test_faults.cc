@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -20,6 +22,7 @@
 #include "spark/metrics_json.h"
 #include "spark/spark_context.h"
 #include "spark/task_engine.h"
+#include "storage/disk_device.h"
 #include "workloads/registry.h"
 
 namespace doppio {
@@ -108,6 +111,46 @@ TEST(FaultSpec, RejectsOutOfRangeDegradeMemFraction)
     EXPECT_THROW(FaultSpec::parse("degrade-mem 1@60 1.5"), FatalError);
     EXPECT_THROW(FaultSpec::parse("degrade-mem 1@60 -0.5"), FatalError);
     EXPECT_NO_THROW(FaultSpec::parse("degrade-mem 1@60 1"));
+}
+
+// strtod accepts "nan" and "inf"; comparison-based range checks would
+// let both through, so the number parser itself rejects them.
+TEST(FaultSpec, RejectsNanDegradeFactor)
+{
+    EXPECT_THROW(FaultSpec::parse("degrade 1@10 nan"), FatalError);
+}
+
+TEST(FaultSpec, RejectsInfiniteDegradeFactor)
+{
+    EXPECT_THROW(FaultSpec::parse("degrade 1@10 inf"), FatalError);
+}
+
+TEST(FaultSpec, RejectsNanKillTime)
+{
+    EXPECT_THROW(FaultSpec::parse("kill 1@nan"), FatalError);
+}
+
+TEST(FaultSpec, RejectsNanTaskFailRate)
+{
+    try {
+        FaultSpec::parse("kill 1@10\ntask-fail-rate nan\n", "myspec");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("myspec:2"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(FaultSpec, DiskRejectsNanDegradedFactor)
+{
+    sim::Simulator sim;
+    storage::DiskDevice disk(sim, storage::makeSsdParams(), "ssd");
+    EXPECT_THROW(disk.setDegradedFactor(std::nan("")), FatalError);
+    EXPECT_THROW(disk.setDegradedFactor(
+                     std::numeric_limits<double>::infinity()),
+                 FatalError);
+    EXPECT_DOUBLE_EQ(disk.degradedFactor(), 1.0);
 }
 
 TEST(FaultSpec, RejectsDuplicateKillOfOneNodeAtOneTime)

@@ -3,6 +3,7 @@
  * Unit tests for the fair-shared fluid pipe.
  */
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -161,6 +162,36 @@ TEST(FluidPipe, InvalidConfigIsFatal)
     FluidPipe pipe(sim, 1.0, "p");
     EXPECT_THROW(pipe.startFlow(1, [] {}, 0.0), FatalError);
     EXPECT_THROW(pipe.setCapacity(-1.0), FatalError);
+}
+
+TEST(FluidPipe, NanCapacityIsFatal)
+{
+    Simulator sim;
+    EXPECT_THROW(FluidPipe(sim, std::nan(""), "bad"), FatalError);
+}
+
+TEST(FluidPipe, InfiniteCapacityIsFatal)
+{
+    Simulator sim;
+    EXPECT_THROW(
+        FluidPipe(sim, std::numeric_limits<double>::infinity(), "bad"),
+        FatalError);
+}
+
+TEST(FluidPipe, NanRateCapIsFatal)
+{
+    Simulator sim;
+    FluidPipe pipe(sim, 1.0, "p");
+    EXPECT_THROW(pipe.startFlow(1, [] {}, std::nan("")), FatalError);
+    EXPECT_EQ(pipe.activeFlows(), 0u);
+}
+
+TEST(FluidPipe, NanSetCapacityIsFatal)
+{
+    Simulator sim;
+    FluidPipe pipe(sim, 1.0, "p");
+    EXPECT_THROW(pipe.setCapacity(std::nan("")), FatalError);
+    EXPECT_EQ(pipe.capacity(), 1.0);
 }
 
 TEST(FluidPipe, ConservationAcrossManyFlows)

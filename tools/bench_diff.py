@@ -5,9 +5,9 @@ bench/ext_multitenant.cpp).
 Usage:
   tools/bench_diff.py BASELINE.json CURRENT.json
       Print a per-scenario comparison table. Throughput units
-      (events/s, flows/s, batches/s) count higher-is-better; everything
-      else (wall seconds, latencies, slowdown ratios) counts
-      lower-is-better. The "speedup" column is >1 when CURRENT is
+      (events/s, flows/s, batches/s, queries/s, requests/s, tasks/s)
+      count higher-is-better; everything else (wall seconds,
+      latencies, slowdown ratios) counts lower-is-better. The "speedup" column is >1 when CURRENT is
       faster either way.
 
   tools/bench_diff.py --merge BASELINE.json CURRENT.json [-o OUT.json]
@@ -43,7 +43,8 @@ import os
 import sys
 import tempfile
 
-HIGHER_IS_BETTER = {"events/s", "flows/s", "batches/s", "queries/s"}
+HIGHER_IS_BETTER = {"events/s", "flows/s", "batches/s", "queries/s",
+                    "requests/s", "tasks/s"}
 
 EXIT_REGRESSION = 3
 EXIT_NO_BASELINE = 4

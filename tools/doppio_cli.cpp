@@ -155,7 +155,7 @@ class Args
         if (errno != 0 || end == v.c_str() || *end != '\0')
             fatal("flag %s: '%s' is not a number", flag.c_str(),
                   v.c_str());
-        if (parsed < lo || parsed > hi)
+        if (!(parsed >= lo && parsed <= hi)) // also rejects NaN
             fatal("flag %s: %g out of range [%g, %g]", flag.c_str(),
                   parsed, lo, hi);
         return parsed;
