@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "faults/fault_injector.h"
 #include "spark/recovery.h"
 #include "trace/trace_collector.h"
 
@@ -18,7 +17,21 @@ JobContext::JobContext(JobScheduler &scheduler, int id,
                        std::string tenantName, int poolIndex)
     : scheduler_(scheduler), id_(id), name_(std::move(tenantName)),
       poolIndex_(poolIndex),
-      dag_(scheduler.conf(), scheduler.hdfs(), scheduler.blockManager())
+      dag_(scheduler.conf(), scheduler.hdfs(), scheduler.blockManager()),
+      recovery_(
+          [this](const spark::StageSpec &stage,
+                 spark::StageRecovery::StageDone done) {
+              activeRun_ = scheduler_.engine().submitStage(
+                  stage, id_, trace::jobTid(id_),
+                  [this, done = std::move(done)](
+                      const spark::StageMetrics &metrics) {
+                      activeRun_ = nullptr;
+                      done(metrics);
+                  });
+              scheduler_.offerCores();
+          },
+          scheduler.clusterRef().numSlaves(),
+          scheduler.conf().stageMaxAttempts, "[" + name_ + "] ")
 {
 }
 
@@ -68,17 +81,17 @@ JobContext::runNextStage()
         finishJob();
         return;
     }
-    const spark::StageSpec *stage =
-        &active_->spec.stages[active_->stageIdx];
-    runStageRecoverable(stage, 0, [this](spark::StageMetrics metrics) {
-        inform("  [%s] stage %-24s M=%-6d %s", name_.c_str(),
-               metrics.name.c_str(), metrics.numTasks,
-               formatDuration(metrics.endTick - metrics.startTick)
-                   .c_str());
-        active_->metrics.stages.push_back(std::move(metrics));
-        ++active_->stageIdx;
-        runNextStage();
-    });
+    runStage(active_->spec.stages[active_->stageIdx],
+             [this](spark::StageMetrics metrics) {
+                 inform("  [%s] stage %-24s M=%-6d %s", name_.c_str(),
+                        metrics.name.c_str(), metrics.numTasks,
+                        formatDuration(metrics.endTick -
+                                       metrics.startTick)
+                            .c_str());
+                 active_->metrics.stages.push_back(std::move(metrics));
+                 ++active_->stageIdx;
+                 runNextStage();
+             });
 }
 
 void
@@ -86,7 +99,7 @@ JobContext::finishJob()
 {
     JobRequest request = std::move(active_->request);
     metrics_.jobs.push_back(std::move(active_->metrics));
-    retired_.push_back(std::move(active_));
+    active_.reset();
     doneTick_ = scheduler_.cluster_.simulator().now();
     for (const spark::RddRef &rdd : request.unpersistAfter)
         scheduler_.blockManager().unpersist(rdd.get());
@@ -100,103 +113,10 @@ JobContext::finishJob()
 }
 
 void
-JobContext::runStageRecoverable(const spark::StageSpec *stage, int depth,
-                                StageCont cont)
+JobContext::runStage(const spark::StageSpec &stage,
+                     spark::StageRecovery::StageDone done)
 {
-    // Remember shuffle producers so a downstream fetch failure can
-    // recompute the lost map outputs from lineage (mirrors
-    // SparkContext::runStageWithRecovery, as a continuation chain).
-    if (scheduler_.injector() != nullptr && stage->writesShuffle())
-        shuffleProducers_.emplace(stage->name, *stage);
-
-    beginStage(stage, [this, stage, depth, cont = std::move(cont)](
-                          spark::StageMetrics merged) mutable {
-        if (merged.fetchFailedSource < 0) {
-            cont(std::move(merged));
-            return;
-        }
-        if (depth > 8)
-            fatal("JobContext: fetch-failure recovery recursion too "
-                  "deep at stage %s",
-                  stage->name.c_str());
-        auto state = std::make_shared<RecoveryState>();
-        /// Completed tasks of THIS stage across attempts (recovery map
-        /// stages folded into `merged` must not count here).
-        state->completed = merged.taskDuration.count();
-        state->merged = std::move(merged);
-        state->attempts = 1;
-        recoverStep(stage, depth, std::move(state), std::move(cont));
-    });
-}
-
-void
-JobContext::recoverStep(const spark::StageSpec *stage, int depth,
-                        std::shared_ptr<RecoveryState> state,
-                        StageCont cont)
-{
-    if (state->merged.fetchFailedSource < 0) {
-        cont(std::move(state->merged));
-        return;
-    }
-    if (state->attempts >= scheduler_.conf().stageMaxAttempts)
-        fatal("JobContext: stage %s failed %d attempts "
-              "(stageMaxAttempts), aborting the application",
-              stage->name.c_str(), state->attempts);
-    ++state->attempts;
-    inform("  [%s] stage %-24s fetch failure from node %d, attempt %d",
-           name_.c_str(), stage->name.c_str(),
-           state->merged.fetchFailedSource, state->attempts);
-
-    auto producer = shuffleProducers_.find(stage->shuffleSource);
-    if (producer == shuffleProducers_.end())
-        fatal("JobContext: stage %s hit a fetch failure but its "
-              "shuffle producer '%s' is unknown",
-              stage->name.c_str(), stage->shuffleSource.c_str());
-    // Regenerate the lost map outputs (they land on alive nodes),
-    // then rerun the partitions this stage has not finished yet.
-    const spark::StageSpec *recovery = ownSpec(spark::recoverySpec(
-        producer->second, scheduler_.clusterRef().numSlaves()));
-    runStageRecoverable(
-        recovery, depth + 1,
-        [this, stage, depth, state,
-         cont = std::move(cont)](spark::StageMetrics rec) mutable {
-            state->merged.faults.recoverySeconds += rec.seconds();
-            state->merged.foldIn(rec);
-            state->merged.fetchFailedSource = -1; // recovery completed
-
-            const spark::StageSpec *rerun = ownSpec(
-                spark::remainderSpec(*stage, state->completed));
-            beginStage(rerun, [this, stage, depth, state,
-                               cont = std::move(cont)](
-                                  spark::StageMetrics rr) mutable {
-                state->completed += rr.taskDuration.count();
-                state->merged.faults.recoverySeconds += rr.seconds();
-                ++state->merged.faults.stageReattempts;
-                state->merged.foldIn(rr);
-                recoverStep(stage, depth, std::move(state),
-                            std::move(cont));
-            });
-        });
-}
-
-void
-JobContext::beginStage(const spark::StageSpec *stage, StageCont cont)
-{
-    activeRun_ = scheduler_.engine().submitStage(
-        *stage, id_, trace::jobTid(id_),
-        [this, cont = std::move(cont)](
-            const spark::StageMetrics &metrics) mutable {
-            activeRun_ = nullptr;
-            cont(metrics);
-        });
-    scheduler_.offerCores();
-}
-
-const spark::StageSpec *
-JobContext::ownSpec(spark::StageSpec spec)
-{
-    ownedSpecs_.push_back(std::move(spec));
-    return &ownedSpecs_.back();
+    recovery_.run(stage, std::move(done));
 }
 
 // ----------------------------------------------------------------------
@@ -222,9 +142,6 @@ JobScheduler::JobScheduler(cluster::Cluster &clusterRef, dfs::Hdfs &hdfs,
 {
     if (conf_.executorCores <= 0)
         fatal("JobScheduler: executorCores must be positive");
-    if (conf_.speculation)
-        fatal("JobScheduler: speculative execution is not supported "
-              "in multi-tenant mode");
     if (conf_.unifiedMemory)
         engine_.setMemoryModel(&blockManager_);
     engine_.setArbiter(this);
@@ -280,7 +197,6 @@ JobScheduler::addTenant(const std::string &tenantName,
 void
 JobScheduler::setFaultInjector(faults::FaultInjector *injector)
 {
-    injector_ = injector;
     engine_.setFaultInjector(injector);
     hdfs_.setFaultInjector(injector);
 }

@@ -27,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -37,6 +36,7 @@
 #include "spark/dag_scheduler.h"
 #include "spark/metrics.h"
 #include "spark/rdd.h"
+#include "spark/recovery.h"
 #include "spark/spark_conf.h"
 #include "spark/task_engine.h"
 
@@ -54,11 +54,10 @@ class JobScheduler;
 
 /**
  * One tenant's asynchronous Spark driver: compiles jobs at start (so
- * materialization state reflects everything that ran before), walks
- * their stages through the shared TaskEngine via submitStage, and
- * replays SparkContext's fetch-failure recovery (recompute the lost
- * map outputs from lineage, rerun the remaining partitions, fold into
- * one merged stage entry) as a continuation chain instead of a loop.
+ * materialization state reflects everything that ran before) and walks
+ * their stages through the shared TaskEngine via submitStage, with the
+ * same fetch-failure recovery loop as SparkContext (spark::StageRecovery)
+ * continuing from each stage's completion callback.
  */
 class JobContext
 {
@@ -107,6 +106,15 @@ class JobContext
         return static_cast<int>(metrics_.jobs.size());
     }
 
+    /**
+     * Run one compiled stage as this tenant (with fetch-failure
+     * recovery) and pass its merged metrics to @p done from within the
+     * event loop; @p stage must stay alive until then. Jobs use this
+     * for each of their stages.
+     */
+    void runStage(const spark::StageSpec &stage,
+                  spark::StageRecovery::StageDone done);
+
     /** Stage currently executing, or nullptr between stages. */
     const spark::TaskEngine::StageRef &activeRun() const
     {
@@ -115,14 +123,6 @@ class JobContext
 
   private:
     friend class JobScheduler;
-
-    /** Rolling state of one fetch-failure recovery loop. */
-    struct RecoveryState
-    {
-        spark::StageMetrics merged;
-        std::uint64_t completed = 0;
-        int attempts = 1;
-    };
 
     /** The executing job. */
     struct ActiveJob
@@ -133,27 +133,12 @@ class JobContext
         spark::JobMetrics metrics;
     };
 
-    using StageCont = std::function<void(spark::StageMetrics)>;
-
     JobContext(JobScheduler &scheduler, int id, std::string tenantName,
                int poolIndex);
 
     void startNextJob();
     void runNextStage();
     void finishJob();
-
-    /** Run one stage with SparkContext-equivalent recovery. */
-    void runStageRecoverable(const spark::StageSpec *stage, int depth,
-                             StageCont cont);
-    void recoverStep(const spark::StageSpec *stage, int depth,
-                     std::shared_ptr<RecoveryState> state,
-                     StageCont cont);
-
-    /** Submit @p stage to the engine and offer cores. */
-    void beginStage(const spark::StageSpec *stage, StageCont cont);
-
-    /** Keep a derived (recovery/remainder) spec alive for its run. */
-    const spark::StageSpec *ownSpec(spark::StageSpec spec);
 
     JobScheduler &scheduler_;
     int id_ = 0;
@@ -163,18 +148,9 @@ class JobContext
     spark::AppMetrics metrics_;
     std::deque<JobRequest> queue_;
     std::unique_ptr<ActiveJob> active_;
-    /// Finished jobs whose StageSpecs must outlive their last task
-    /// event: a stage completes while a losing/aborted attempt is
-    /// still draining async I/O, and that attempt's next phase
-    /// boundary dereferences its TaskGroupSpec (submitStage's "spec
-    /// must outlive the run" contract).
-    std::vector<std::unique_ptr<ActiveJob>> retired_;
     spark::TaskEngine::StageRef activeRun_;
-    /// Specs of executed shuffle map stages, for lineage recovery.
-    std::unordered_map<std::string, spark::StageSpec> shuffleProducers_;
-    /// Stable storage for recovery/remainder specs (engine runs keep
-    /// raw pointers until completion).
-    std::deque<spark::StageSpec> ownedSpecs_;
+    /// Fetch-failure recovery over submitStage attempts.
+    spark::StageRecovery recovery_;
     Tick submitTick_ = 0;
     Tick doneTick_ = 0;
     bool submitted_ = false;
@@ -263,7 +239,6 @@ class JobScheduler : public spark::CoreArbiter
      * only its own lineage.
      */
     void setFaultInjector(faults::FaultInjector *injector);
-    faults::FaultInjector *injector() const { return injector_; }
 
     /**
      * Attach a telemetry collector (nullptr detaches): wires the
@@ -336,7 +311,6 @@ class JobScheduler : public spark::CoreArbiter
     spark::SparkConf conf_;
     spark::BlockManager blockManager_;
     spark::TaskEngine engine_;
-    faults::FaultInjector *injector_ = nullptr;
     trace::TraceCollector *collector_ = nullptr;
     std::vector<Pool> pools_;
     std::vector<Tenant> tenants_;

@@ -214,6 +214,7 @@ BlockManager::materializeUnified(const Rdd &rdd)
     // partition N may evict an earlier partition of this same RDD, and
     // handleEvictions must be able to find it.
     RddBlocks &blocks = rdds_[&rdd];
+    blocks.owner = rdd.shared_from_this();
     blocks.partitions.resize(
         static_cast<std::size_t>(std::max(0, rdd.numPartitions)));
     for (int p = 0; p < rdd.numPartitions; ++p) {

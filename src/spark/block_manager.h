@@ -208,9 +208,13 @@ class BlockManager
         MemoryManager::BlockId id = 0;
     };
 
-    /** Per-RDD unified state: one BlockInfo per partition. */
+    /** Per-RDD unified state: one BlockInfo per partition. The
+     *  tracked RDD stays alive until unpersist()/reset(), since an
+     *  eviction reads its sizes long after its job may have dropped
+     *  the lineage. */
     struct RddBlocks
     {
+        std::shared_ptr<const Rdd> owner;
         std::vector<BlockInfo> partitions;
     };
 

@@ -1,8 +1,6 @@
 #include "spark/spark_context.h"
 
 #include "common/logging.h"
-#include "faults/fault_injector.h"
-#include "spark/recovery.h"
 
 namespace doppio::spark {
 
@@ -11,7 +9,12 @@ SparkContext::SparkContext(cluster::Cluster &clusterRef, dfs::Hdfs &hdfs,
     : cluster_(clusterRef), hdfs_(hdfs), conf_(conf),
       blockManager_(clusterRef, conf_),
       dag_(conf_, hdfs, blockManager_),
-      engine_(clusterRef, hdfs, conf_)
+      engine_(clusterRef, hdfs, conf_),
+      recovery_(
+          [this](const StageSpec &stage, StageRecovery::StageDone done) {
+              done(engine_.runStage(stage));
+          },
+          clusterRef.numSlaves(), conf_.stageMaxAttempts, "")
 {
     if (conf_.executorCores <= 0)
         fatal("SparkContext: executorCores must be positive");
@@ -28,7 +31,6 @@ SparkContext::hadoopFile(const std::string &fileName)
 void
 SparkContext::setFaultInjector(faults::FaultInjector *injector)
 {
-    injector_ = injector;
     engine_.setFaultInjector(injector);
     hdfs_.setFaultInjector(injector);
 }
@@ -43,68 +45,18 @@ SparkContext::runJob(const std::string &jobName, const RddRef &target,
     inform("job %s: %zu stage(s)", spec.name.c_str(),
            spec.stages.size());
     for (const StageSpec &stage : spec.stages) {
-        StageMetrics metrics = runStageWithRecovery(stage, 0);
-        inform("  stage %-24s M=%-6d %s", metrics.name.c_str(),
-               metrics.numTasks, formatDuration(metrics.endTick -
-                                                metrics.startTick)
-                                     .c_str());
-        job.stages.push_back(std::move(metrics));
+        // runStage attempts are synchronous: the loop delivers the
+        // merged metrics before run() returns.
+        recovery_.run(stage, [&job](StageMetrics metrics) {
+            inform("  stage %-24s M=%-6d %s", metrics.name.c_str(),
+                   metrics.numTasks,
+                   formatDuration(metrics.endTick - metrics.startTick)
+                       .c_str());
+            job.stages.push_back(std::move(metrics));
+        });
     }
     metrics_.jobs.push_back(std::move(job));
     return metrics_.jobs.back();
-}
-
-StageMetrics
-SparkContext::runStageWithRecovery(const StageSpec &stage, int depth)
-{
-    // Remember shuffle producers so a downstream fetch failure can
-    // recompute the lost map outputs from lineage.
-    if (injector_ != nullptr && stage.writesShuffle())
-        shuffleProducers_.emplace(stage.name, stage);
-
-    StageMetrics merged = engine_.runStage(stage);
-    if (merged.fetchFailedSource < 0)
-        return merged;
-
-    if (depth > 8)
-        fatal("SparkContext: fetch-failure recovery recursion too deep "
-              "at stage %s",
-              stage.name.c_str());
-    /// Completed tasks of THIS stage across attempts (recovery map
-    /// stages folded into `merged` must not count here).
-    std::uint64_t completed = merged.taskDuration.count();
-    int attempts = 1;
-    while (merged.fetchFailedSource >= 0) {
-        if (attempts >= conf_.stageMaxAttempts)
-            fatal("SparkContext: stage %s failed %d attempts "
-                  "(stageMaxAttempts), aborting the application",
-                  stage.name.c_str(), attempts);
-        ++attempts;
-        inform("  stage %-24s fetch failure from node %d, attempt %d",
-               stage.name.c_str(), merged.fetchFailedSource, attempts);
-
-        auto producer = shuffleProducers_.find(stage.shuffleSource);
-        if (producer == shuffleProducers_.end())
-            fatal("SparkContext: stage %s hit a fetch failure but its "
-                  "shuffle producer '%s' is unknown",
-                  stage.name.c_str(), stage.shuffleSource.c_str());
-        // Regenerate the lost map outputs (they land on alive nodes),
-        // then rerun the partitions this stage has not finished yet.
-        const StageMetrics recovery = runStageWithRecovery(
-            recoverySpec(producer->second, cluster_.numSlaves()),
-            depth + 1);
-        merged.faults.recoverySeconds += recovery.seconds();
-        merged.foldIn(recovery);
-        merged.fetchFailedSource = -1; // recovery completed
-
-        const StageMetrics rerun =
-            engine_.runStage(remainderSpec(stage, completed));
-        completed += rerun.taskDuration.count();
-        merged.faults.recoverySeconds += rerun.seconds();
-        ++merged.faults.stageReattempts;
-        merged.foldIn(rerun);
-    }
-    return merged;
 }
 
 void

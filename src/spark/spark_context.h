@@ -13,7 +13,6 @@
 #define DOPPIO_SPARK_SPARK_CONTEXT_H
 
 #include <string>
-#include <unordered_map>
 
 #include "cluster/cluster.h"
 #include "dfs/hdfs.h"
@@ -21,6 +20,7 @@
 #include "spark/dag_scheduler.h"
 #include "spark/metrics.h"
 #include "spark/rdd.h"
+#include "spark/recovery.h"
 #include "spark/spark_conf.h"
 #include "spark/task_engine.h"
 
@@ -37,6 +37,9 @@ class SparkContext
      */
     SparkContext(cluster::Cluster &clusterRef, dfs::Hdfs &hdfs,
                  SparkConf conf);
+
+    SparkContext(const SparkContext &) = delete;
+    SparkContext &operator=(const SparkContext &) = delete;
 
     /** Leaf RDD over a registered HDFS file (partitions = blocks). */
     RddRef hadoopFile(const std::string &fileName);
@@ -97,14 +100,6 @@ class SparkContext
     AppMetrics &metrics() { return metrics_; }
 
   private:
-    /**
-     * Run one stage, recovering from fetch failures: rerun the shuffle
-     * producer's lost share, then the failed stage's remaining tasks,
-     * folding everything into one merged StageMetrics entry so job
-     * durations (sum of stage windows) never double-count.
-     */
-    StageMetrics runStageWithRecovery(const StageSpec &stage, int depth);
-
     cluster::Cluster &cluster_;
     dfs::Hdfs &hdfs_;
     SparkConf conf_;
@@ -112,9 +107,8 @@ class SparkContext
     DagScheduler dag_;
     TaskEngine engine_;
     AppMetrics metrics_;
-    faults::FaultInjector *injector_ = nullptr;
-    /// Specs of executed shuffle map stages, for lineage recomputation.
-    std::unordered_map<std::string, StageSpec> shuffleProducers_;
+    /// Fetch-failure recovery over synchronous runStage attempts.
+    StageRecovery recovery_;
 };
 
 } // namespace doppio::spark

@@ -327,9 +327,9 @@ struct TaskEngine::StageRun
     int fetchFailedSource = -1;
     /// Set on stage abort: free cores stop pulling work.
     bool abortLaunches = false;
-    /// Multi-tenant submission (submitStage): completion callback,
-    /// the tag echoed to CoreArbiter::attemptFinished, and the driver
-    /// track the stage span goes to. Unset for runStage() stages.
+    /// Completion callback (unset when runStage finishes the stage
+    /// itself), the tag echoed to CoreArbiter::attemptFinished, and
+    /// the driver track the stage span goes to.
     StageCallback onDone;
     int schedTag = 0;
     int driverTid = trace::kTidStages;
@@ -506,103 +506,26 @@ TaskEngine::runStage(const StageSpec &spec)
     if (arbiter_ != nullptr)
         fatal("TaskEngine: runStage is the single-job entry point; "
               "with a core arbiter attached use submitStage");
+    const StageRef run = submitStage(spec, 0, trace::kTidStages, nullptr);
     sim::Simulator &sim = cluster_.simulator();
-    auto run = std::make_shared<StageRun>();
-    run->spec = spec;
-    run->metrics.name = spec.name;
-    run->metrics.numTasks = spec.numTasks();
-    run->metrics.startTick = sim.now();
-    run->rng = rng_.fork();
-    const int cores = effectiveCores();
-    run->gcFactor =
-        1.0 + spec.gcSensitivity * static_cast<double>(cores - 1);
-
-    for (const TaskGroupSpec &group : run->spec.groups) {
-        if (group.count < 0)
-            fatal("TaskEngine: negative task count in group %s",
-                  group.name.c_str());
-        for (int i = 0; i < group.count; ++i)
-            run->tasks.emplace_back(&group, i);
-    }
-    // An empty stage (all groups zero tasks) is complete as soon as it
-    // starts: return valid empty metrics without arming the
-    // speculation timer, which would otherwise tick once and advance
-    // the clock for no work.
-    if (run->tasks.empty()) {
-        run->metrics.endTick = sim.now();
-        if (collector_ != nullptr)
-            collector_->span(trace::kDriverPid, trace::kTidStages,
-                             "stage", spec.name, run->metrics.startTick,
-                             run->metrics.endTick);
-        return run->metrics;
-    }
-    run->states.resize(run->tasks.size());
-    for (StageRun::TaskState &state : run->states)
-        state.readyTick = run->metrics.startTick;
-    run->busyCores.assign(
-        static_cast<std::size_t>(cluster_.numSlaves()), 0);
-    run->shuffleSources = cluster_.aliveNodes();
-    activeRuns_.push_back(run);
-    if (conf_.speculation)
-        armSpeculationTimer(run);
-
-    // Fill executor cores round-robin across nodes (Spark's spread-out
-    // placement) so small stages do not pile onto one node's disks;
-    // the rest of the queue drains as tasks finish.
-    for (int c = 0; c < cores; ++c) {
-        for (int node = 0; node < cluster_.numSlaves(); ++node)
-            launchOnFreeCore(run, node);
-    }
-
-    if (injector_ == nullptr) {
-        sim.run();
-    } else {
-        // Under fault injection, stop at stage completion instead of
-        // draining the queue: armed node events with later ticks must
-        // fire during whichever stage is actually running then (so a
-        // mid-shuffle kill hits in-flight fetches), and background
-        // repair such as HDFS re-replication overlaps the following
-        // stages instead of serializing before them. Leftover events
-        // (aborted attempts unwinding, write drains) fire harmlessly
-        // in a later stage's loop or in the final drain.
-        while (!(run->fetchFailedSource >= 0 ||
-                 (run->completed == run->metrics.numTasks &&
-                  run->outstandingWrites == 0)) &&
-               sim.runOneEvent()) {
+    if (injector_ != nullptr) {
+        // Under fault injection, stop at stage completion: armed node
+        // events with later ticks must fire during whichever stage is
+        // actually running then (so a mid-shuffle kill hits in-flight
+        // fetches), and background repair such as HDFS re-replication
+        // overlaps the following stages instead of serializing before
+        // them. Leftover events (aborted attempts unwinding, write
+        // drains) fire harmlessly in a later stage's loop or in the
+        // final drain.
+        while (!stageDone(*run) && sim.runOneEvent()) {
         }
+    } else if (!stageDone(*run)) {
+        // Fault-free stage barrier: the stage ends at quiescence,
+        // page-cache writeback included (DESIGN.md section 8 records
+        // the calibration that depends on it).
+        sim.run();
     }
-
-    deregisterRun(run.get());
-    if (run->speculationTimerArmed)
-        panic("TaskEngine: stage %s finished with its speculation "
-              "timer still armed",
-              spec.name.c_str());
-    if (run->fetchFailedSource >= 0) {
-        // Aborted on a FetchFailure: hand the partial metrics to the
-        // scheduler, which recomputes the lost map outputs and reruns
-        // the remainder (see SparkContext::runJob).
-        run->metrics.fetchFailedSource = run->fetchFailedSource;
-        run->metrics.endTick = sim.now();
-        if (collector_ != nullptr)
-            collector_->span(trace::kDriverPid, trace::kTidStages,
-                             "stage", spec.name, run->metrics.startTick,
-                             run->metrics.endTick,
-                             trace::TraceArgs().add("aborted", 1));
-        return run->metrics;
-    }
-    if (run->completed != run->metrics.numTasks)
-        panic("TaskEngine: stage %s finished with %d/%d tasks",
-              spec.name.c_str(), run->completed, run->metrics.numTasks);
-    if (run->outstandingWrites != 0)
-        panic("TaskEngine: stage %s finished with %d undrained writes",
-              spec.name.c_str(), run->outstandingWrites);
-    run->metrics.endTick = sim.now();
-    if (collector_ != nullptr)
-        collector_->span(trace::kDriverPid, trace::kTidStages, "stage",
-                         spec.name, run->metrics.startTick,
-                         run->metrics.endTick,
-                         trace::TraceArgs().add(
-                             "tasks", run->metrics.numTasks));
+    finishStage(*run);
     return run->metrics;
 }
 
@@ -663,10 +586,24 @@ TaskEngine::launchAttempt(std::shared_ptr<StageRun> run, int node,
     raw_task->hasPendingEvent = true;
 }
 
-bool
-TaskEngine::tryLaunchQueued(const std::shared_ptr<StageRun> &run,
-                            int node)
+void
+TaskEngine::launchOnFreeCore(const std::shared_ptr<StageRun> &run,
+                             int node)
 {
+    if (arbiter_ != nullptr) {
+        // Multi-tenant mode: the freed core goes back to the
+        // scheduler, which picks the next stage by pool policy.
+        arbiter_->offerCore(node);
+        return;
+    }
+    tryLaunch(run, node);
+}
+
+bool
+TaskEngine::tryLaunch(const StageRef &run, int node)
+{
+    if (run->abortLaunches || !cluster_.nodeAlive(node))
+        return false;
     // Failed tasks retry before fresh work, avoiding blacklisted nodes
     // while an alive alternative exists (with every usable node
     // blacklisted the task must run somewhere, so the list is waived).
@@ -700,39 +637,15 @@ TaskEngine::tryLaunchQueued(const std::shared_ptr<StageRun> &run,
         launchAttempt(run, node, index);
         return true;
     }
-    return false;
-}
-
-void
-TaskEngine::launchOnFreeCore(std::shared_ptr<StageRun> run, int node)
-{
-    if (arbiter_ != nullptr) {
-        // Multi-tenant mode: the freed core goes back to the
-        // scheduler, which picks the next stage by pool policy.
-        arbiter_->offerCore(node);
-        return;
-    }
-    if (run->abortLaunches || !cluster_.nodeAlive(node))
-        return;
-    if (tryLaunchQueued(run, node))
-        return;
-    if (conf_.speculation)
-        speculateOnNode(std::move(run), node);
-}
-
-bool
-TaskEngine::tryLaunch(const StageRef &run, int node)
-{
-    if (run->abortLaunches || !cluster_.nodeAlive(node))
-        return false;
-    return tryLaunchQueued(run, node);
+    return conf_.speculation && speculateOnNode(run, node);
 }
 
 bool
 TaskEngine::hasRunnableWork(const StageRef &run) const
 {
     return !run->abortLaunches &&
-           (!run->retries.empty() || run->nextTask < run->tasks.size());
+           (!run->retries.empty() || run->nextTask < run->tasks.size() ||
+            (conf_.speculation && findLaggard(*run) != kNoLaggard));
 }
 
 void
@@ -748,47 +661,46 @@ TaskEngine::kickFreeCores(const std::shared_ptr<StageRun> &run)
     for (int node = 0; node < cluster_.numSlaves(); ++node) {
         if (!cluster_.nodeAlive(node))
             continue;
-        while (run->busyCores[static_cast<std::size_t>(node)] < cores) {
-            const int before =
-                run->busyCores[static_cast<std::size_t>(node)];
-            launchOnFreeCore(run, node);
-            if (run->busyCores[static_cast<std::size_t>(node)] ==
-                before)
-                break; // nothing left to launch here
+        while (run->busyCores[static_cast<std::size_t>(node)] < cores &&
+               tryLaunch(run, node)) {
         }
     }
 }
 
-/**
- * Try to launch one speculative copy of a laggard task on @p node
- * (Spark's speculation policy, checked both when cores free up and on
- * the periodic timer).
- */
-void
-TaskEngine::speculateOnNode(std::shared_ptr<StageRun> run, int node)
+std::size_t
+TaskEngine::findLaggard(const StageRun &run) const
 {
-    const int total = run->metrics.numTasks;
-    if (run->completed >= total ||
-        run->completed <
-            static_cast<int>(conf_.speculationQuantile * total))
-        return;
-    const double mean = run->metrics.taskDuration.mean();
+    const int total = run.metrics.numTasks;
+    if (run.completed >= total ||
+        run.completed < static_cast<int>(conf_.speculationQuantile * total))
+        return kNoLaggard;
+    const double mean = run.metrics.taskDuration.mean();
     if (mean <= 0.0)
-        return;
+        return kNoLaggard;
     const Tick now = cluster_.simulator().now();
-    for (std::size_t i = 0; i < run->states.size(); ++i) {
-        StageRun::TaskState &state = run->states[i];
+    for (std::size_t i = 0; i < run.states.size(); ++i) {
+        const StageRun::TaskState &state = run.states[i];
         if (!state.launched || state.done || state.speculated)
             continue;
-        const double elapsed =
-            ticksToSeconds(now - state.firstLaunch);
-        if (elapsed > conf_.speculationMultiplier * mean) {
-            state.speculated = true;
-            state.readyTick = now; // the copy becomes runnable here
-            launchAttempt(std::move(run), node, i);
-            return;
-        }
+        if (ticksToSeconds(now - state.firstLaunch) >
+            conf_.speculationMultiplier * mean)
+            return i;
     }
+    return kNoLaggard;
+}
+
+bool
+TaskEngine::speculateOnNode(const std::shared_ptr<StageRun> &run,
+                            int node)
+{
+    const std::size_t index = findLaggard(*run);
+    if (index == kNoLaggard)
+        return false;
+    StageRun::TaskState &state = run->states[index];
+    state.speculated = true;
+    state.readyTick = cluster_.simulator().now(); // runnable from here
+    launchAttempt(run, node, index);
+    return true;
 }
 
 /** Arm the recurring speculation check (Spark: spark.speculation
@@ -805,18 +717,20 @@ TaskEngine::armSpeculationTimer(std::shared_ptr<StageRun> run)
             run->speculationTimerArmed = false;
             if (run->completed >= run->metrics.numTasks)
                 return;
-            const int cores = effectiveCores();
-            for (int node = 0; node < cluster_.numSlaves(); ++node) {
-                if (!cluster_.nodeAlive(node))
-                    continue;
-                while (run->busyCores[static_cast<std::size_t>(
-                           node)] < cores) {
-                    const int before = run->busyCores
-                        [static_cast<std::size_t>(node)];
-                    speculateOnNode(run, node);
-                    if (run->busyCores[static_cast<std::size_t>(
-                            node)] == before)
-                        break; // nothing launched
+            if (arbiter_ != nullptr) {
+                // Copies launch through tryLaunch like any other
+                // attempt, so the scheduler's core accounting stays
+                // exact.
+                arbiter_->offerCores();
+            } else {
+                const int cores = effectiveCores();
+                for (int node = 0; node < cluster_.numSlaves(); ++node) {
+                    if (!cluster_.nodeAlive(node))
+                        continue;
+                    while (run->busyCores[static_cast<std::size_t>(
+                               node)] < cores &&
+                           speculateOnNode(run, node)) {
+                    }
                 }
             }
             armSpeculationTimer(std::move(run));
@@ -840,7 +754,7 @@ TaskEngine::runPhase(std::shared_ptr<StageRun> run,
         finishAttempt(run, task,
                       task->abortReason != nullptr ? task->abortReason
                                                    : "lost-race");
-        launchOnFreeCore(std::move(run), node);
+        launchOnFreeCore(run, node);
         return;
     }
 
@@ -890,7 +804,7 @@ TaskEngine::runPhase(std::shared_ptr<StageRun> run,
             }
         }
         launchOnFreeCore(run, task->node);
-        maybeFinishAsync(run);
+        maybeFinish(run);
         return;
     }
 
@@ -1325,9 +1239,8 @@ TaskEngine::handleFetchFailure(const std::shared_ptr<StageRun> &run,
     task->aborted = true;
     releaseExecutionHold(task);
     finishAttempt(run, task, "fetch-fail");
-    // A submitted stage reports the abort through its callback (the
-    // sync path returns out of runStage's event loop instead).
-    maybeFinishAsync(run);
+    // A callback reports the abort now; runStage's loop stops on it.
+    maybeFinish(run);
 }
 
 void
@@ -1378,19 +1291,13 @@ void
 TaskEngine::noteWriteDrained(const std::shared_ptr<StageRun> &run)
 {
     --run->outstandingWrites;
-    maybeFinishAsync(run);
+    maybeFinish(run);
 }
 
 TaskEngine::StageRef
 TaskEngine::submitStage(const StageSpec &spec, int schedTag,
                         int driverTid, StageCallback onDone)
 {
-    if (arbiter_ == nullptr)
-        fatal("TaskEngine: submitStage needs a core arbiter "
-              "(setArbiter); single-job callers use runStage");
-    if (conf_.speculation)
-        fatal("TaskEngine: speculative execution is not supported "
-              "under a core arbiter (multi-tenant mode)");
     sim::Simulator &sim = cluster_.simulator();
     auto run = std::make_shared<StageRun>();
     run->spec = spec;
@@ -1398,8 +1305,9 @@ TaskEngine::submitStage(const StageSpec &spec, int schedTag,
     run->metrics.numTasks = spec.numTasks();
     run->metrics.startTick = sim.now();
     run->rng = rng_.fork();
-    run->gcFactor = 1.0 + spec.gcSensitivity *
-                              static_cast<double>(effectiveCores() - 1);
+    const int cores = effectiveCores();
+    run->gcFactor =
+        1.0 + spec.gcSensitivity * static_cast<double>(cores - 1);
     run->schedTag = schedTag;
     run->driverTid = driverTid;
     run->onDone = std::move(onDone);
@@ -1411,10 +1319,13 @@ TaskEngine::submitStage(const StageSpec &spec, int schedTag,
         for (int i = 0; i < group.count; ++i)
             run->tasks.emplace_back(&group, i);
     }
+    // An empty stage (all groups zero tasks) is done as soon as it
+    // starts, without arming the speculation timer (which would tick
+    // once and advance the clock for no work). A callback still fires
+    // from the event loop, never before submitStage returns.
     if (run->tasks.empty()) {
-        // Complete on the next event so the callback never fires
-        // before submitStage returns to the caller.
-        sim.schedule(0, [this, run]() { maybeFinishAsync(run); });
+        if (run->onDone)
+            sim.schedule(0, [this, run]() { maybeFinish(run); });
         return run;
     }
     run->states.resize(run->tasks.size());
@@ -1424,34 +1335,70 @@ TaskEngine::submitStage(const StageSpec &spec, int schedTag,
         static_cast<std::size_t>(cluster_.numSlaves()), 0);
     run->shuffleSources = cluster_.aliveNodes();
     activeRuns_.push_back(run);
-    // No initial fill here: the caller offers cores through the
-    // arbiter once the submission is registered.
+    if (conf_.speculation)
+        armSpeculationTimer(run);
+
+    // Without an arbiter, fill executor cores round-robin across nodes
+    // (Spark's spread-out placement) so small stages do not pile onto
+    // one node's disks; the rest of the queue drains as tasks finish.
+    // With one, the caller offers cores once the submission is
+    // registered.
+    if (arbiter_ == nullptr) {
+        for (int c = 0; c < cores; ++c) {
+            for (int node = 0; node < cluster_.numSlaves(); ++node)
+                tryLaunch(run, node);
+        }
+    }
     return run;
 }
 
-void
-TaskEngine::maybeFinishAsync(const std::shared_ptr<StageRun> &run)
+bool
+TaskEngine::stageDone(const StageRun &run)
 {
-    if (!run->onDone)
-        return; // runStage stage, or the callback already fired
-    const bool aborted = run->fetchFailedSource >= 0;
-    if (!aborted && (run->completed != run->metrics.numTasks ||
-                     run->outstandingWrites != 0))
-        return;
-    deregisterRun(run.get());
-    run->metrics.endTick = cluster_.simulator().now();
-    if (aborted)
-        run->metrics.fetchFailedSource = run->fetchFailedSource;
+    return run.fetchFailedSource >= 0 ||
+           (run.completed == run.metrics.numTasks &&
+            run.outstandingWrites == 0);
+}
+
+void
+TaskEngine::finishStage(StageRun &run)
+{
+    deregisterRun(&run);
+    const bool aborted = run.fetchFailedSource >= 0;
+    if (run.speculationTimerArmed)
+        panic("TaskEngine: stage %s finished with its speculation "
+              "timer still armed",
+              run.metrics.name.c_str());
+    if (!aborted && run.completed != run.metrics.numTasks)
+        panic("TaskEngine: stage %s finished with %d/%d tasks",
+              run.metrics.name.c_str(), run.completed,
+              run.metrics.numTasks);
+    if (!aborted && run.outstandingWrites != 0)
+        panic("TaskEngine: stage %s finished with %d undrained writes",
+              run.metrics.name.c_str(), run.outstandingWrites);
+    // An aborted stage hands its partial metrics to the recovery loop,
+    // which recomputes the lost map outputs and reruns the remainder
+    // (spark/recovery.h).
+    run.metrics.fetchFailedSource = run.fetchFailedSource;
+    run.metrics.endTick = cluster_.simulator().now();
     if (collector_ != nullptr) {
         trace::TraceArgs args;
         if (aborted)
             args.add("aborted", 1);
         else
-            args.add("tasks", run->metrics.numTasks);
-        collector_->span(trace::kDriverPid, run->driverTid, "stage",
-                         run->metrics.name, run->metrics.startTick,
-                         run->metrics.endTick, args);
+            args.add("tasks", run.metrics.numTasks);
+        collector_->span(trace::kDriverPid, run.driverTid, "stage",
+                         run.metrics.name, run.metrics.startTick,
+                         run.metrics.endTick, args);
     }
+}
+
+void
+TaskEngine::maybeFinish(const std::shared_ptr<StageRun> &run)
+{
+    if (!run->onDone || !stageDone(*run))
+        return;
+    finishStage(*run);
     // Null the callback before invoking it: completions re-entering
     // through zombie unwinds or write drains must not fire it twice.
     const StageCallback done = std::move(run->onDone);

@@ -16,6 +16,7 @@
 #ifndef DOPPIO_SPARK_TASK_ENGINE_H
 #define DOPPIO_SPARK_TASK_ENGINE_H
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -76,37 +77,45 @@ class TaskEngine
                const SparkConf &conf);
 
     /**
-     * Execute @p spec to completion (drains the event loop) and
-     * @return its metrics. Stages must be run one at a time.
+     * The classic single-job driver: submitStage() without a callback,
+     * then run the event loop to the stage barrier and @return the
+     * stage's metrics. With a fault injector attached the barrier is
+     * stage completion (all tasks done and writes drained, or a fetch
+     * failure pending); without one it is quiescence, so the stage
+     * window includes page-cache writeback. Stages run one at a time.
      */
     StageMetrics runStage(const StageSpec &spec);
 
     /**
      * Attach a core arbiter (or nullptr to detach; not owned).
      * Redirects every internal "pull the next task onto this free
-     * core" decision to the arbiter, enabling submitStage().
+     * core" decision to the arbiter, which then launches work through
+     * tryLaunch().
      */
     void setArbiter(CoreArbiter *arbiter) { arbiter_ = arbiter; }
 
     /**
-     * Multi-tenant submission: set up @p spec without driving the
-     * event loop. The stage launches nothing until the arbiter hands
-     * it cores through tryLaunch(); @p onDone fires from within the
-     * event loop once the stage completes or aborts on a fetch
-     * failure (same contract as runStage's return). The run keeps its
-     * own copy of @p spec; @p schedTag is echoed verbatim to
-     * CoreArbiter::attemptFinished; stage spans go to the driver-track
-     * thread @p driverTid (per-job lanes). Requires an arbiter;
-     * speculative execution is not supported in this mode.
+     * Set up @p spec for execution without driving the event loop; the
+     * one place a stage run is built. Without an arbiter the engine
+     * fills the executor cores round-robin across nodes itself (one
+     * stage at a time); with one the stage launches nothing until the
+     * arbiter hands it cores through tryLaunch(). @p onDone, if set,
+     * fires from within the event loop once the stage completes or
+     * aborts on a fetch failure, never before submitStage returns. The
+     * run keeps its own copy of @p spec; @p schedTag is echoed
+     * verbatim to CoreArbiter::attemptFinished; the stage span goes
+     * to the driver-track thread @p driverTid (per-job lanes).
      */
     StageRef submitStage(const StageSpec &spec, int schedTag,
                          int driverTid, StageCallback onDone);
 
-    /** Launch one queued task of @p run on @p node if possible.
-     *  @return true if an attempt was launched (arbiter mode). */
+    /** Launch one attempt of @p run on @p node if possible: a retry,
+     *  else a fresh task, else (with speculation on) a speculative
+     *  copy of a laggard. @return true if an attempt was launched. */
     bool tryLaunch(const StageRef &run, int node);
 
-    /** @return true while @p run has queued tasks wanting a core. */
+    /** @return true while @p run has a task (or, with speculation on,
+     *  a laggard to copy) wanting a core. */
     bool hasRunnableWork(const StageRef &run) const;
 
     /** @return executor cores per node actually used (min(P, cores)). */
@@ -114,7 +123,7 @@ class TaskEngine
 
     /**
      * Attach a task-trace collector (or nullptr to detach). Not
-     * owned; must outlive subsequent runStage() calls.
+     * owned; must outlive the stages run after it.
      */
     void setTrace(TaskTrace *trace) { trace_ = trace; }
 
@@ -148,16 +157,21 @@ class TaskEngine
   private:
     struct TaskRun;
 
+    /** Sentinel of findLaggard(): no task qualifies. */
+    static constexpr std::size_t kNoLaggard = SIZE_MAX;
+
     void launchAttempt(std::shared_ptr<StageRun> run, int node,
                        std::size_t index);
-    void launchOnFreeCore(std::shared_ptr<StageRun> run, int node);
+    void launchOnFreeCore(const std::shared_ptr<StageRun> &run,
+                          int node);
 
-    /** Retry-queue-then-fresh launch body shared by the single-job
-     *  free-core path and the arbiter's tryLaunch.
-     *  @return true if an attempt was launched. */
-    bool tryLaunchQueued(const std::shared_ptr<StageRun> &run,
-                         int node);
-    void speculateOnNode(std::shared_ptr<StageRun> run, int node);
+    /** @return the first task past Spark's speculation threshold
+     *  without a copy yet, or kNoLaggard. */
+    std::size_t findLaggard(const StageRun &run) const;
+
+    /** Launch a speculative copy of a laggard on @p node.
+     *  @return true if one was launched. */
+    bool speculateOnNode(const std::shared_ptr<StageRun> &run, int node);
     void armSpeculationTimer(std::shared_ptr<StageRun> run);
     void runPhase(std::shared_ptr<StageRun> run,
                   std::shared_ptr<TaskRun> task);
@@ -224,12 +238,22 @@ class TaskEngine
     /** A device write of @p run drained (stage-barrier accounting). */
     void noteWriteDrained(const std::shared_ptr<StageRun> &run);
 
+    /** @return true once @p run completed (every task done and every
+     *  write drained) or aborted on a fetch failure. */
+    static bool stageDone(const StageRun &run);
+
     /**
-     * Fire a submitted stage's completion callback if it is complete
-     * (or aborted on a fetch failure). No-op for runStage() stages
-     * and while work is still outstanding.
+     * End-of-stage work of every stage: deregister the run, stamp
+     * endTick and fetchFailedSource, emit the stage span on the run's
+     * driver lane, and check the completion invariants (no armed
+     * speculation timer; unless aborted, every task completed and no
+     * write undrained).
      */
-    void maybeFinishAsync(const std::shared_ptr<StageRun> &run);
+    void finishStage(StageRun &run);
+
+    /** Finish @p run and fire its callback once it is done (a stage
+     *  without callback is finished by runStage). */
+    void maybeFinish(const std::shared_ptr<StageRun> &run);
 
     /** Drop @p run (and any expired entries) from activeRuns_. */
     void deregisterRun(const StageRun *run);
@@ -252,8 +276,8 @@ class TaskEngine
     BlockManager *memory_ = nullptr;
     CoreArbiter *arbiter_ = nullptr;
     bool observerRegistered_ = false;
-    /// Stages currently executing (one for runStage(), any number of
-    /// submitted stages in arbiter mode), for the liveness observer.
+    /// Stages currently executing (one without an arbiter, any number
+    /// under one), for the liveness observer.
     std::vector<std::weak_ptr<StageRun>> activeRuns_;
 };
 

@@ -221,6 +221,23 @@ TEST_F(UnifiedMemoryTest, FittingRddIsFullyCachedAndReadForFree)
     EXPECT_GT(memory.peakStorageBytes, 0ULL);
 }
 
+/**
+ * Cached blocks keep their RDD alive until unpersisted: a later
+ * eviction reads the RDD's sizes, and a multi-tenant job used to free
+ * its lineage while its blocks stayed cached (a use-after-free).
+ */
+TEST_F(UnifiedMemoryTest, CachedBlocksKeepTheirRddAlive)
+{
+    init(gib(4));
+    RddRef parsed = persisted(StorageLevel::MemoryAndDisk, mib(256));
+    context_->runJob("validate", parsed, ActionSpec::count());
+    const std::weak_ptr<Rdd> weak = parsed;
+    parsed.reset();
+    ASSERT_FALSE(weak.expired());
+    context_->unpersist(weak.lock());
+    EXPECT_TRUE(weak.expired());
+}
+
 TEST_F(UnifiedMemoryTest, OversizedMemoryAndDiskRddSpillsBlocksToDisk)
 {
     // Pool = 192 MiB per node; 4 x 128 MiB partitions per node want

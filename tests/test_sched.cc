@@ -24,6 +24,7 @@
 #include "sched/job_scheduler.h"
 #include "sched/jobs_spec.h"
 #include "sim/simulator.h"
+#include "spark/spark_context.h"
 #include "workloads/multi_tenant.h"
 
 namespace doppio {
@@ -287,6 +288,87 @@ TEST(MultiTenantSweep, JobsParallelismIsByteIdentical)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]) << "sweep point " << i;
+}
+
+// ------------------------------------------------------ driver parity
+
+/**
+ * Stages of one shuffle-and-save job (16 GiB: 128 map tasks, 24
+ * reducers, HDFS output) on 3 slaves, run through the classic
+ * SparkContext or through a one-tenant FIFO JobScheduler.
+ */
+std::vector<spark::StageMetrics>
+shuffleSaveStages(bool oneTenant, bool pageCache)
+{
+    constexpr Bytes kInput = 16 * kGiB;
+    sim::Simulator simulator;
+    cluster::ClusterConfig config =
+        cluster::ClusterConfig::evaluationCluster();
+    config.numSlaves = 3;
+    config.node.pageCache.enabled = pageCache;
+    cluster::Cluster cluster(simulator, config);
+    dfs::Hdfs hdfs(cluster);
+    hdfs.addFile("sort.in", kInput);
+    spark::SparkConf conf;
+    conf.executorCores = 8;
+    const auto sorted = [](const RddRef &input) {
+        spark::ShuffleSpec shuffle;
+        shuffle.bytes = kInput;
+        return Rdd::shuffled("sorted", input, 24, kInput, shuffle);
+    };
+    const ActionSpec save = ActionSpec::saveAsHadoopFile(kInput);
+    if (!oneTenant) {
+        spark::SparkContext context(cluster, hdfs, conf);
+        return context.runJob("sort", sorted(context.hadoopFile("sort.in")),
+                              save)
+            .stages;
+    }
+    JobScheduler scheduler(cluster, hdfs, conf);
+    JobContext &tenant = scheduler.addTenant("sort");
+    JobContext::JobRequest request;
+    request.name = "sort";
+    request.target = sorted(tenant.hadoopFile("sort.in"));
+    request.action = save;
+    tenant.submitJob(std::move(request));
+    scheduler.run();
+    return tenant.appMetrics().jobs.at(0).stages;
+}
+
+/** Without page cache or faults both drivers end every stage at the
+ *  same tick: the stage lifecycle is the same code. */
+TEST(DriverParity, OneTenantMatchesClassicWithoutPageCache)
+{
+    const auto classic = shuffleSaveStages(false, false);
+    const auto tenant = shuffleSaveStages(true, false);
+    ASSERT_EQ(classic.size(), 2u);
+    ASSERT_EQ(tenant.size(), classic.size());
+    for (std::size_t i = 0; i < classic.size(); ++i) {
+        EXPECT_EQ(tenant[i].name, classic[i].name);
+        EXPECT_EQ(tenant[i].seconds(), classic[i].seconds())
+            << classic[i].name;
+    }
+}
+
+/**
+ * The classic fault-free barrier ends a stage at quiescence, so its
+ * window includes page-cache writeback that a tenant's stage (ended at
+ * completion) leaves running. Pins that calibrated barrier.
+ */
+TEST(DriverParity, ClassicStageWindowIncludesWriteback)
+{
+    const auto classic = shuffleSaveStages(false, true);
+    const auto tenant = shuffleSaveStages(true, true);
+    ASSERT_EQ(classic.size(), 2u);
+    ASSERT_EQ(tenant.size(), classic.size());
+    double classicTotal = 0.0;
+    double tenantTotal = 0.0;
+    for (std::size_t i = 0; i < classic.size(); ++i) {
+        EXPECT_GE(classic[i].seconds(), tenant[i].seconds())
+            << classic[i].name;
+        classicTotal += classic[i].seconds();
+        tenantTotal += tenant[i].seconds();
+    }
+    EXPECT_GT(classicTotal, tenantTotal);
 }
 
 // ------------------------------------------------------ faults

@@ -428,9 +428,6 @@ runMultiSpec(const sched::MultiJobSpec &spec, const Args &args)
 {
     const cluster::ClusterConfig config = clusterFromArgs(args);
     const spark::SparkConf conf = sparkConfFromArgs(args);
-    if (conf.speculation)
-        fatal("run: --speculate is not supported by the multi-tenant "
-              "scheduler");
 
     trace::TraceCollector collector;
     telemetry::Registry registry;
