@@ -18,6 +18,9 @@
  *     one uncapped pipe, so depth ramps up and drains (flows/s).
  *   - disk_requests: 30 KiB reads submitted at once to one SSD
  *     (requests/s).
+ *   - pagecache_writeback: writers holding one page cache over one
+ *     SSD at its dirty limit, so the flusher never idles and the
+ *     writers it admits evict clean bytes (flush requests/s).
  *   - stage_tasks: a 2048-task shuffle-read stage on the motivation
  *     cluster through TaskEngine (tasks/s).
  *   - terasort_e2e: full Terasort on the 3-slave bench cluster, wall
@@ -44,6 +47,7 @@
 #include "cloud_util.h"
 #include "cluster/cluster.h"
 #include "dfs/hdfs.h"
+#include "oscache/page_cache.h"
 #include "sim/fluid_pipe.h"
 #include "sim/simulator.h"
 #include "spark/task_engine.h"
@@ -235,6 +239,53 @@ diskRequests(int requests, int reps)
 }
 
 /**
+ * Page-cache writeback: four writers append 1.5 MiB writes to their
+ * own streams of one 16 GiB page cache over one SSD until @p total
+ * bytes are written, each issuing its next write when the last is
+ * accepted. Dirty bytes sit at the dirty limit, so the flusher never
+ * idles: each 1 MiB writeback cleans the oldest dirty bytes (mostly a
+ * partial extent), admits a parked writer and — once the cache is full
+ * of clean fragments — evicts the least recently used ones.
+ */
+Result
+pageCacheWriteback(Bytes total)
+{
+    sim::Simulator sim;
+    storage::DiskDevice ssd(sim, storage::makeSsdParams(), "bench");
+    oscache::PageCacheConfig config;
+    config.enabled = true;
+    config.capacity = 16 * kGiB;
+    oscache::PageCache cache(
+        sim, config, [&ssd]() -> storage::DiskDevice & { return ssd; },
+        [&ssd]() -> storage::DiskDevice & { return ssd; }, "bench");
+    const Bytes chunk = 512 * kKiB;
+    const std::uint64_t count = 3;
+    constexpr int kWriters = 4;
+    Bytes written = 0;
+    Bytes offsets[kWriters] = {};
+    std::function<void(int)> writeNext = [&](int writer) {
+        if (written >= total)
+            return;
+        written += chunk * count;
+        const Bytes at = offsets[writer];
+        offsets[writer] += chunk * count;
+        cache.write(oscache::Role::Local, storage::IoOp::ShuffleWrite,
+                    1 + static_cast<std::uint64_t>(writer), at, chunk,
+                    count, [&writeNext, writer] { writeNext(writer); });
+    };
+    const double start = now();
+    for (int w = 0; w < kWriters; ++w)
+        writeNext(w);
+    sim.run();
+    const double elapsed = now() - start;
+    if (cache.stats().evictedBytes == 0)
+        std::cerr << "pagecache_writeback: nothing was evicted\n";
+    return {"pagecache_writeback", "requests/s",
+            static_cast<double>(cache.stats().flushRequests) / elapsed,
+            elapsed};
+}
+
+/**
  * Stage execution: one shuffle-read stage of @p tasks tasks (27 MiB
  * each, 30 KiB requests, fan-in 976) on the motivation cluster.
  */
@@ -360,6 +411,7 @@ main(int argc, char **argv)
     results.push_back(eventScheduleRun(100'000, smoke ? 2 : 20));
     results.push_back(fluidPipeArrivals(1024, smoke ? 2 : 20));
     results.push_back(diskRequests(10'000, smoke ? 2 : 20));
+    results.push_back(pageCacheWriteback(smoke ? 64 * kGiB : 1024 * kGiB));
     results.push_back(stageTasks(2048, smoke ? 1 : 5));
     results.push_back(terasortEndToEnd(smoke));
 

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -158,6 +157,10 @@ class PageCache
               DevicePicker hdfsPicker, DevicePicker localPicker,
               std::string name);
 
+    // The chains point into the extent maps: not copyable.
+    PageCache(const PageCache &) = delete;
+    PageCache &operator=(const PageCache &) = delete;
+
     /**
      * Read @p count chunks of @p chunk bytes at @p offset of
      * @p stream. Resident bytes are served at memory speed; missing
@@ -230,22 +233,42 @@ class PageCache
     struct Extent;
     /// Extents of one stream, keyed by start offset (non-overlapping).
     using ExtentMap = std::map<Bytes, Extent>;
-    /// (stream, start-offset) reference into the extent maps.
-    using ExtentRef = std::pair<StreamKey, Bytes>;
 
+    /**
+     * One cached range [self->first, end) of one stream. It sits on
+     * exactly one chain through its own links: the clean LRU when
+     * clean, the dirty FIFO when dirty. It also knows its stream, the
+     * map that holds it and its own node there, so the writeback,
+     * eviction and touch paths follow pointers instead of looking the
+     * range up again.
+     */
     struct Extent
     {
         Bytes end = 0;    //!< one past the last cached byte
         bool dirty = false;
         storage::IoOp op = storage::IoOp::RawWrite; //!< writeback op
-        std::list<ExtentRef>::iterator lruIt;   //!< valid when clean
-        std::list<ExtentRef>::iterator dirtyIt; //!< valid when dirty
+        StreamKey key = 0;          //!< owning stream (role bit included)
+        ExtentMap *owner = nullptr; //!< the map holding this node
+        ExtentMap::iterator self;   //!< this node in *owner
+        Extent *prev = nullptr;     //!< chain neighbours
+        Extent *next = nullptr;
+    };
+
+    /** Intrusive doubly-linked list of extents, oldest at the head. */
+    struct Chain
+    {
+        Extent *head = nullptr;
+        Extent *tail = nullptr;
+
+        bool empty() const { return head == nullptr; }
+        void pushBack(Extent &extent);
+        void unlink(Extent &extent);
+        void clear() { head = tail = nullptr; }
     };
 
     /** A writer parked on the dirty limit. */
     struct Waiter
     {
-        Role role;
         storage::IoOp op;
         StreamKey key;
         Bytes offset = 0;
@@ -270,24 +293,42 @@ class PageCache
     void insertRange(StreamKey key, Bytes start, Bytes end, bool dirty,
                      storage::IoOp op);
 
-    /** Remove [start, end) from the cache (helper of insertRange). */
-    void removeRange(StreamKey key, Bytes start, Bytes end);
+    /** Remove [start, end) of one stream (helper of insertRange). */
+    void removeRange(ExtentMap &extents, Bytes start, Bytes end);
 
-    /** Insert one extent node and its LRU/dirty-list membership. */
-    void addExtent(StreamKey key, Bytes start, Bytes end, bool dirty,
+    /**
+     * Insert [start, end) of stream @p key into @p extents (its map)
+     * next to @p hint, then link it (see link()).
+     */
+    void addExtent(ExtentMap &extents, ExtentMap::const_iterator hint,
+                   StreamKey key, Bytes start, Bytes end, bool dirty,
                    storage::IoOp op);
 
-    /** Drop one whole clean extent (LRU victim or removeRange). */
-    void dropExtent(StreamKey key, ExtentMap::iterator it);
+    /** Append @p extent to the tail of its chain and count its bytes. */
+    void link(Extent &extent);
+
+    /** Take @p extent off its chain and uncount its bytes. */
+    void unlink(Extent &extent);
+
+    /** Unlink @p extent and free its node. */
+    void dropExtent(Extent &extent);
+
+    /** Fatal unless @p extent is a live chain head of the given
+     *  dirtiness: no predecessor, and its self iterator points back
+     *  to it (@p what names the chain in the message). */
+    void checkHead(const Extent &extent, bool dirty,
+                   const char *what) const;
+
+    /** Fatal when the byte counters break the capacity bounds. */
+    void checkBounds() const;
 
     /** Evict clean LRU extents until @p need bytes are free (best
      *  effort). @return bytes actually freed. */
     Bytes evictClean(Bytes need);
 
     /** Accept an admitted write: dirty the range, charge the memcpy. */
-    void acceptWrite(Role role, storage::IoOp op, StreamKey key,
-                     Bytes offset, Bytes bytes,
-                     std::function<void()> done);
+    void acceptWrite(storage::IoOp op, StreamKey key, Bytes offset,
+                     Bytes bytes, std::function<void()> done);
 
     /** Mark the oldest @p bytes dirty bytes clean (writeback done). */
     void cleanOldest(Bytes bytes);
@@ -311,9 +352,9 @@ class PageCache
 
     std::unordered_map<StreamKey, ExtentMap> streams_;
     /// Clean extents, least recently used first.
-    std::list<ExtentRef> lru_;
+    Chain lru_;
     /// Dirty extents, oldest first (writeback order).
-    std::list<ExtentRef> dirtyList_;
+    Chain dirtyList_;
     /// Sequential-read detector: next expected offset per stream.
     std::unordered_map<StreamKey, Bytes> nextOffset_;
     std::deque<Waiter> waiters_;
