@@ -115,8 +115,9 @@ figureGrids(bool smoke)
 /**
  * Constraints spanning the interesting range, derived from the grid's
  * own extremes so they stay meaningful if the model drifts. The probe
- * runs two exhaustive sweeps, which also warms its table cache — the
- * timed runs copy it so they measure evaluation, not table building.
+ * runs two exhaustive sweeps, which also fill FioProfiler's table
+ * memo for the grid — so the timed runs measure evaluation, not table
+ * building.
  */
 std::vector<cloud::Constraint>
 constraintSet(const cloud::CostOptimizer &probe, bool smoke)
@@ -169,7 +170,7 @@ constrainedScenario(const model::AppModel &app, bool smoke,
         // measure. The copies happen outside the timers.
         const int repeats = smoke ? 40 : 200;
         for (const cloud::Constraint &constraint : constraints) {
-            // Copies of the warm probe: warm table cache, cold memo —
+            // Copies of the warm probe: warm fio tables, cold memo —
             // the steady-state cost of a first-of-its-kind constrained
             // query on a warm service, with the two search strategies
             // as the only difference.

@@ -21,7 +21,8 @@ namespace doppio::cloud {
 class Advisor
 {
   public:
-    /** Owns a copy of the optimizer (and its bandwidth-table cache). */
+    /** Owns a copy of the optimizer; its bandwidth tables come from
+     *  FioProfiler's process-wide memo. */
     explicit Advisor(CostOptimizer optimizer)
         : optimizer_(std::move(optimizer))
     {}

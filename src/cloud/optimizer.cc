@@ -6,7 +6,7 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "storage/fio.h"
+#include "model/platform_profile.h"
 
 namespace doppio::cloud {
 
@@ -128,10 +128,6 @@ CostOptimizer::CostOptimizer(const CostOptimizer &other)
     : app_(other.app_), pricing_(other.pricing_),
       options_(other.options_)
 {
-    {
-        const std::lock_guard<std::mutex> lock(*other.tableCacheMutex_);
-        tableCache_ = other.tableCache_;
-    }
     const std::lock_guard<std::mutex> lock(*other.memoMutex_);
     stats_ = other.stats_;
     // The memo starts cold: LruCache's index holds iterators into its
@@ -150,10 +146,6 @@ CostOptimizer::operator=(const CostOptimizer &other)
     app_ = other.app_;
     pricing_ = other.pricing_;
     options_ = other.options_;
-    {
-        const std::lock_guard<std::mutex> lock(*other.tableCacheMutex_);
-        tableCache_ = other.tableCache_;
-    }
     const std::lock_guard<std::mutex> lock(*other.memoMutex_);
     stats_ = other.stats_;
     memo_.reset();
@@ -179,38 +171,14 @@ CostOptimizer::defaultSizeGrid()
     return grid;
 }
 
-const std::pair<LookupTable, LookupTable> &
-CostOptimizer::tablesFor(CloudDiskType type, Bytes size) const
-{
-    const auto key = std::make_pair(static_cast<int>(type), size);
-    {
-        const std::lock_guard<std::mutex> lock(*tableCacheMutex_);
-        const auto it = tableCache_.find(key);
-        if (it != tableCache_.end())
-            return it->second;
-    }
-    // Fill outside the lock: the fio sweep is the expensive part and
-    // is deterministic, so two threads racing on the same key compute
-    // identical tables and the losing emplace is a no-op.
-    const storage::FioProfiler profiler(makeCloudDiskParams(type, size));
-    auto tables = std::make_pair(
-        profiler.bandwidthTable(storage::IoKind::Read),
-        profiler.bandwidthTable(storage::IoKind::Write));
-    const std::lock_guard<std::mutex> lock(*tableCacheMutex_);
-    return tableCache_.emplace(key, std::move(tables)).first->second;
-}
-
 model::PlatformProfile
 CostOptimizer::profileFor(const CloudConfig &config) const
 {
-    const auto &hdfs = tablesFor(config.hdfsType, config.hdfsSize);
-    const auto &local = tablesFor(config.localType, config.localSize);
-    model::PlatformProfile profile;
-    profile.hdfsRead = hdfs.first;
-    profile.hdfsWrite = hdfs.second;
-    profile.localRead = local.first;
-    profile.localWrite = local.second;
-    return profile;
+    // The fio tables come from FioProfiler's process-wide memo, so
+    // every optimizer (and the model fit) profiles a disk once.
+    return model::PlatformProfile::fromDisks(
+        makeCloudDiskParams(config.hdfsType, config.hdfsSize),
+        makeCloudDiskParams(config.localType, config.localSize));
 }
 
 std::string

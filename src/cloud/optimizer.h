@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -155,9 +154,10 @@ class CostOptimizer
     CostOptimizer(model::AppModel appModel, GcpPricing pricing,
                   Options options);
 
-    // Copies share nothing: the table cache and cumulative search
-    // stats are duplicated, the evaluation memo starts cold (it is
-    // only a cache) and the copy gets its own mutexes.
+    // Copies share nothing but the process-wide fio-table memo:
+    // cumulative search stats are duplicated, the evaluation memo
+    // starts cold (it is only a cache) and the copy gets its own
+    // mutex.
     CostOptimizer(const CostOptimizer &other);
     CostOptimizer &operator=(const CostOptimizer &other);
     CostOptimizer(CostOptimizer &&) = default;
@@ -233,20 +233,6 @@ class CostOptimizer
     const GcpPricing &pricing() const { return pricing_; }
 
   private:
-    /**
-     * Cached effective-bandwidth tables per provisioned disk.
-     * Thread-safe: concurrent fills of the same key race benignly —
-     * the FioProfiler sweep is deterministic, so both threads compute
-     * bit-identical tables and the losing emplace is discarded
-     * ("first insert wins" only picks which identical copy survives;
-     * see DeterministicAcrossJobCounts in test_optimizer) — and
-     * std::map nodes are stable, so the returned reference outlives
-     * later inserts. The evaluation memo below relies on the same
-     * determinism: a racing fill stores the same bytes.
-     */
-    const std::pair<LookupTable, LookupTable> &
-    tablesFor(CloudDiskType type, Bytes size) const;
-
     model::PlatformProfile profileFor(const CloudConfig &config) const;
 
     /** One model evaluation, bypassing the memo. */
@@ -270,13 +256,8 @@ class CostOptimizer
     model::AppModel app_;
     GcpPricing pricing_;
     Options options_;
-    // Behind unique_ptrs so the optimizer stays movable (Advisor
+    // Behind a unique_ptr so the optimizer stays movable (Advisor
     // takes one by value).
-    mutable std::unique_ptr<std::mutex> tableCacheMutex_ =
-        std::make_unique<std::mutex>();
-    mutable std::map<std::pair<int, Bytes>,
-                     std::pair<LookupTable, LookupTable>>
-        tableCache_;
     mutable std::unique_ptr<std::mutex> memoMutex_ =
         std::make_unique<std::mutex>();
     /** Null when Options::memoCapacity == 0. */

@@ -1,6 +1,10 @@
 #include "storage/fio.h"
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -8,6 +12,18 @@
 #include "storage/disk_device.h"
 
 namespace doppio::storage {
+
+namespace {
+
+/**
+ * What a one-direction sweep reads: that direction's IOPS, latency
+ * and bandwidth (DiskDevice::submit reads no other DiskParams field),
+ * Config::queueDepth, Config::requestsPerWorker and the size list.
+ */
+using TableKey =
+    std::tuple<double, Tick, BytesPerSec, int, int, std::vector<Bytes>>;
+
+} // namespace
 
 FioProfiler::FioProfiler(DiskParams params, Config config)
     : params_(std::move(params)), config_(config)
@@ -83,22 +99,48 @@ FioProfiler::sweep(IoKind kind, const std::vector<Bytes> &sizes) const
     return results;
 }
 
-LookupTable
+const LookupTable &
 FioProfiler::bandwidthTable(IoKind kind,
                             const std::vector<Bytes> &sizes) const
 {
+    // The memo never evicts: callers hold references into its nodes.
+    // Keys come from disk presets and optimizer size grids, never from
+    // service requests (the protocol carries only a worker count), so
+    // it stays a few dozen entries.
+    static std::mutex mutex;
+    static std::map<TableKey, LookupTable, std::less<>> tables;
+
+    const bool read = kind == IoKind::Read;
+    // A tuple of references: a hit copies nothing.
+    const auto key = std::forward_as_tuple(
+        read ? params_.readIops : params_.writeIops,
+        read ? params_.readLatency : params_.writeLatency,
+        read ? params_.readBandwidth : params_.writeBandwidth,
+        config_.queueDepth, config_.requestsPerWorker, sizes);
+    {
+        const std::lock_guard<std::mutex> lock(mutex);
+        const auto it = tables.find(key);
+        if (it != tables.end())
+            return it->second;
+    }
+    // Fill outside the lock: the sweep is the expensive part and is
+    // deterministic, so threads racing on one key build identical
+    // tables and the first insert wins.
     std::vector<std::pair<double, double>> points;
     points.reserve(sizes.size());
     for (const FioResult &r : sweep(kind, sizes))
         points.emplace_back(static_cast<double>(r.requestSize),
                             r.bandwidth);
-    return LookupTable(std::move(points), LookupTable::Scale::Log);
+    LookupTable table(std::move(points), LookupTable::Scale::Log);
+    const std::lock_guard<std::mutex> lock(mutex);
+    return tables.emplace(TableKey(key), std::move(table)).first->second;
 }
 
-LookupTable
+const LookupTable &
 FioProfiler::bandwidthTable(IoKind kind) const
 {
-    return bandwidthTable(kind, defaultSweepSizes());
+    static const std::vector<Bytes> sizes = defaultSweepSizes();
+    return bandwidthTable(kind, sizes);
 }
 
 std::vector<Bytes>

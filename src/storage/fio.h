@@ -9,6 +9,8 @@
  * each measurement point runs a private discrete-event simulation with
  * queueDepth concurrent workers issuing fixed-size requests
  * back-to-back, and reports aggregate IOPS and bandwidth.
+ * bandwidthTable() profiles each distinct device once per process;
+ * measure() and sweep() always run the simulation.
  */
 
 #ifndef DOPPIO_STORAGE_FIO_H
@@ -59,15 +61,19 @@ class FioProfiler
                                  const std::vector<Bytes> &sizes) const;
 
     /**
-     * Build the effective-bandwidth lookup table the Doppio model
-     * consumes: x = request size (bytes), y = bandwidth (bytes/s),
-     * log-interpolated.
+     * The effective-bandwidth lookup table the Doppio model consumes:
+     * x = request size (bytes), y = bandwidth (bytes/s),
+     * log-interpolated. Swept once per process and memoized on what
+     * the sweep reads (@p kind's rates, the Config and @p sizes), so
+     * devices differing only in name, capacity, type or the other
+     * direction share an entry. Thread-safe; the reference stays
+     * valid for the process lifetime.
      */
-    LookupTable bandwidthTable(IoKind kind,
-                               const std::vector<Bytes> &sizes) const;
+    const LookupTable &bandwidthTable(IoKind kind,
+                                      const std::vector<Bytes> &sizes) const;
 
     /** Convenience: bandwidthTable over defaultSweepSizes(). */
-    LookupTable bandwidthTable(IoKind kind) const;
+    const LookupTable &bandwidthTable(IoKind kind) const;
 
     /** 4 KB ... 365 MB, the span of request sizes Spark produces. */
     static std::vector<Bytes> defaultSweepSizes();

@@ -471,11 +471,14 @@ TEST(Memo, CopiedOptimizerStartsCold)
 
 TEST(Optimizer, DeterministicAcrossJobCounts)
 {
-    // Satellite check for the tablesFor "first insert wins" comment:
-    // one optimizer instance per job count, each sweeping its full
-    // grid from a cold table cache with racing parallel fills. Every
-    // evaluation must be byte-identical to the serial sweep — the
-    // discarded racer was an identical copy, never a different table.
+    // One optimizer instance per job count, each sweeping its full
+    // grid with a cold evaluation memo. The fio tables come from
+    // FioProfiler's process-wide memo: whichever sweep first touches a
+    // disk fills its entry, threads racing on a cold entry each build
+    // it and the first insert wins (FioMemo.RacingFills* in test_fio
+    // pins that). Every evaluation must be byte-identical to the
+    // serial sweep — a discarded racer was an identical copy, never a
+    // different table.
     CostOptimizer::Options options;
     options.sizeGrid = {250 * kGB, 500 * kGB, 1000 * kGB, 2000 * kGB};
     options.jobs = 1;
@@ -499,8 +502,9 @@ TEST(Optimizer, DeterministicAcrossJobCounts)
 
 TEST(Optimizer, CopiesAreIndependent)
 {
-    // The fio-table cache moved behind a mutex+unique_ptr; copying
-    // must deep-copy the cache and still work standalone.
+    // The fio tables live in FioProfiler's process-wide memo, which
+    // a copy shares; the copy must still evaluate standalone and
+    // agree with the original.
     const CostOptimizer original = makeOptimizer();
     CloudConfig config;
     config.workers = 10;

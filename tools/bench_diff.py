@@ -5,8 +5,8 @@ bench/ext_multitenant.cpp).
 Usage:
   tools/bench_diff.py BASELINE.json CURRENT.json
       Print a per-scenario comparison table. Throughput units
-      (events/s, flows/s, batches/s, queries/s, requests/s, tasks/s)
-      count higher-is-better; everything else (wall seconds,
+      (events/s, flows/s, batches/s, queries/s, requests/s, tasks/s,
+      tables/s) count higher-is-better; everything else (wall seconds,
       latencies, slowdown ratios) counts lower-is-better. The "speedup" column is >1 when CURRENT is
       faster either way.
 
@@ -44,7 +44,7 @@ import sys
 import tempfile
 
 HIGHER_IS_BETTER = {"events/s", "flows/s", "batches/s", "queries/s",
-                    "requests/s", "tasks/s"}
+                    "requests/s", "tasks/s", "tables/s"}
 
 EXIT_REGRESSION = 3
 EXIT_NO_BASELINE = 4
